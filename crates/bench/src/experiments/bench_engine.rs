@@ -1,5 +1,6 @@
-//! **Engine throughput benchmark** — emits `BENCH_engine.json` at the
-//! repo root (as a registry artifact).
+//! **Engine throughput benchmark** — emits `BENCH_engine.json` (as a
+//! registry artifact, written next to the report: into `--out DIR`, or
+//! the current directory without it).
 //!
 //! Two measurements:
 //!

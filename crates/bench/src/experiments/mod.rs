@@ -20,7 +20,6 @@ pub mod adaptive_sampling;
 pub mod arm_vs_x86;
 pub mod availability;
 pub mod bench_engine;
-pub mod bench_engine_fleet;
 pub mod calibration_probe;
 pub mod carbon_aware;
 pub mod cost_summary;

@@ -18,7 +18,6 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 
 use crate::sweep::{self, Jobs};
 use crate::Scale;
@@ -56,7 +55,7 @@ impl ExperimentCtx {
     }
 
     /// Attach a side artifact (e.g. `BENCH_engine.json`) to be written
-    /// next to the repo root by the runner.
+    /// into the runner's output directory.
     pub fn artifact(&mut self, file_name: impl Into<String>, contents: impl Into<String>) {
         self.artifacts.push(Artifact {
             file_name: file_name.into(),
@@ -104,7 +103,7 @@ macro_rules! outln {
 /// A side file produced by an experiment, written by the runner.
 #[derive(Debug)]
 pub struct Artifact {
-    /// File name relative to the repo root (e.g. `BENCH_engine.json`).
+    /// File name relative to the output directory (e.g. `BENCH_engine.json`).
     pub file_name: String,
     /// Full file contents.
     pub contents: String,
@@ -182,7 +181,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
         &ablation_drift_lag::AblationDriftLag,
         &calibration_probe::CalibrationProbe,
         &bench_engine::BenchEngine,
-        &bench_engine_fleet::BenchEngineFleet,
     ];
     ALL
 }
@@ -190,12 +188,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
 /// Look up an experiment by name.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     all().iter().copied().find(|e| e.name() == name)
-}
-
-/// The repository root (where `BENCH_engine.json`-style artifacts live),
-/// resolved from this crate's compile-time manifest path.
-pub fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Run one experiment, converting a panic anywhere inside it into an

@@ -621,7 +621,10 @@ fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
                     None => print!("{}", output.text),
                 }
                 for artifact in &output.artifacts {
-                    let path = registry::repo_root().join(&artifact.file_name);
+                    let path = match &out_dir {
+                        Some(dir) => dir.join(&artifact.file_name),
+                        None => std::path::PathBuf::from(&artifact.file_name),
+                    };
                     std::fs::write(&path, artifact.contents.as_bytes())
                         .map_err(|e| format!("writing {}: {e}", path.display()))?;
                     eprintln!("  ok {name} artifact -> {}", path.display());

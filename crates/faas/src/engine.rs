@@ -16,8 +16,8 @@ use crate::request::{
     BatchRequest, InvocationOutcome, InvocationStatus, RequestBody, WorkloadSpec,
 };
 use sky_cloud::{Arch, AzId, Catalog, FaultKind, FaultPlan, PriceBook, Provider};
-use sky_sim::metrics::{MetricHandle, MetricsRegistry, MetricsSnapshot, SpanPhase, SpanTracker};
-use sky_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotKey, TraceLevel, Tracer};
+use sky_sim::metrics::{MetricHandle, MetricsRegistry, MetricsSnapshot};
+use sky_sim::{EventQueue, SimDuration, SimRng, SimTime, Slab, SlotKey};
 use sky_workloads::PerfModel;
 use std::collections::BTreeMap;
 
@@ -248,7 +248,7 @@ struct AzMetricHandles {
     /// GB-seconds substrate — divide by 1024·10⁶ to read GB-s).
     billed_mb_us: MetricHandle,
     /// Invocation spend in integer nano-dollars (each f64 cost rounded
-    /// once at record time, so shard merges are order-free).
+    /// once at record time, so `--jobs` merges are order-free).
     cost_nanousd: MetricHandle,
     /// Start classes beyond the legacy cold/warm pair: snapshot
     /// restores, CoW branches, and pre-warm pool hits.
@@ -333,9 +333,9 @@ impl AzMetricHandles {
 }
 
 /// Round a dollar amount to integer nano-dollars — the only place an
-/// f64 cost meets the metrics layer, so shard sums are order-free.
+/// f64 cost meets the metrics layer, so `--jobs` merges are order-free.
 #[inline]
-pub(crate) fn nano_usd(cost: f64) -> u64 {
+fn nano_usd(cost: f64) -> u64 {
     (cost * 1e9).round() as u64
 }
 
@@ -421,10 +421,12 @@ pub struct FaasEngine {
     accounts: Vec<Account>,
     deployments: Vec<Deployment>,
     exec_rng: SimRng,
-    tracer: Tracer,
     events_processed: u64,
     metrics: MetricsRegistry,
-    spans: SpanTracker,
+    /// Requests resolved so far. Each request's span opens at its first
+    /// arrival and closes when it resolves, within one `run_batch`, so
+    /// this one count is both the opened and the closed span total.
+    spans_closed: u64,
     /// Per-AZ metric handles, parallel to `platforms`.
     az_metrics: Vec<AzMetricHandles>,
     /// Per-batch request arena (valid during run_batch only).
@@ -475,10 +477,9 @@ impl FaasEngine {
             accounts: Vec::new(),
             deployments: Vec::new(),
             exec_rng: root.derive("exec"),
-            tracer: Tracer::new(TraceLevel::Info, 4096),
             events_processed: 0,
             metrics: MetricsRegistry::new(),
-            spans: SpanTracker::new(),
+            spans_closed: 0,
             az_metrics: Vec::new(),
             batch: Vec::new(),
             batch_pending: 0,
@@ -520,11 +521,6 @@ impl FaasEngine {
         &self.catalog
     }
 
-    /// The engine's trace buffer (lifecycle events for debugging/tests).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Total discrete events processed since construction (arrivals,
     /// responses, releases, expiries, maintenance). Used by throughput
     /// benchmarks to report events/second.
@@ -542,11 +538,6 @@ impl FaasEngine {
         &mut self.metrics
     }
 
-    /// Span lifecycle accounting (opened/closed totals, open count).
-    pub fn spans(&self) -> &SpanTracker {
-        &self.spans
-    }
-
     /// Export the engine's metrics as a normalized, mergeable snapshot,
     /// including a synthetic `faas/events_processed` counter.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -555,9 +546,9 @@ impl FaasEngine {
         let events = extra.counter("faas", "events_processed", &[]);
         extra.add(events, self.events_processed);
         let spans_opened = extra.counter("span", "opened", &[]);
-        extra.add(spans_opened, self.spans.opened_total());
+        extra.add(spans_opened, self.spans_closed);
         let spans_closed = extra.counter("span", "closed", &[]);
-        extra.add(spans_closed, self.spans.closed_total());
+        extra.add(spans_closed, self.spans_closed);
         snap.merge(&extra.snapshot());
         snap
     }
@@ -688,11 +679,6 @@ impl FaasEngine {
             .get(az)
             .unwrap_or_else(|| panic!("no platform instantiated for {az}"));
         self.platforms[idx as usize].inject_outage(until);
-        self.tracer.warn(
-            self.now,
-            "faas.fault",
-            format!("{az}: outage injected until {until}"),
-        );
     }
 
     /// Arm a fault schedule: each plan event is enqueued once at its
@@ -834,13 +820,8 @@ impl FaasEngine {
             self.events_processed += 1;
             self.handle(event);
         }
-        // Teardown contract: every submitted request closed its span and
-        // consumed its response payload.
-        assert_eq!(
-            self.spans.open_count(),
-            0,
-            "span(s) survived batch teardown"
-        );
+        // Teardown contract: every submitted request consumed its response
+        // payload.
         debug_assert!(
             self.response_payloads.is_empty(),
             "response payload(s) survived batch teardown"
@@ -941,11 +922,6 @@ impl FaasEngine {
                     let recycled = p.day_tick();
                     self.metrics
                         .add(self.az_metrics[idx].hosts_recycled, recycled as u64);
-                    self.tracer.info(
-                        self.now,
-                        "faas.churn",
-                        format!("{}: day {day} recycled {recycled} hosts", self.az_ids[idx]),
-                    );
                 }
                 self.queue.schedule(
                     SimTime::start_of_day(day + 1),
@@ -959,11 +935,6 @@ impl FaasEngine {
                 if added > 0 {
                     self.metrics
                         .add(self.az_metrics[az_idx as usize].hosts_added, added as u64);
-                    self.tracer.info(
-                        self.now,
-                        "faas.scale",
-                        format!("{}: added {added} hosts", self.az_ids[az_idx as usize]),
-                    );
                 }
             }
             Event::PoolTick { az_idx } => {
@@ -1004,15 +975,6 @@ impl FaasEngine {
                 let until_gauge = self.metrics.gauge("faas", "fault_until_us", &labels);
                 self.metrics
                     .set_gauge(until_gauge, self.now, until.as_micros() as f64);
-                self.tracer.warn(
-                    self.now,
-                    "faas.fault",
-                    format!(
-                        "{}: {} armed until {until} (purged {purged} warm FIs)",
-                        self.az_ids[az_idx as usize],
-                        kind.label(),
-                    ),
-                );
             }
             Event::Arrival { .. } | Event::Response { .. } => {
                 unreachable!("batch events are not maintenance")
@@ -1070,22 +1032,14 @@ impl FaasEngine {
         let retry_cost = state.retry_cost;
         let attempts = state.attempts;
         let e2e = finished.saturating_since(arrived);
-        let route =
-            SimDuration::from_micros(e2e.as_micros() - dispatch.as_micros() - exec.as_micros());
-        let start_phase = match class {
-            StartClass::Cold => SpanPhase::ColdStart,
-            StartClass::Restored | StartClass::Branched => SpanPhase::Restore,
-            StartClass::Pooled | StartClass::Warm => SpanPhase::WarmStart,
-        };
-        self.spans.close(
-            idx as u64,
-            finished,
-            &[
-                (SpanPhase::Route, route),
-                (start_phase, dispatch),
-                (SpanPhase::Execute, exec),
-            ],
+        // Checked in every build profile: a wrapped `route` would break
+        // the phase partition silently.
+        let route = SimDuration::from_micros(
+            e2e.as_micros()
+                .checked_sub(dispatch.as_micros() + exec.as_micros())
+                .expect("span start and execute phases exceed end-to-end latency"),
         );
+        self.spans_closed += 1;
         self.metrics.observe_duration(handles.span_route_us, route);
         let start_hist = match class {
             StartClass::Cold => handles.span_cold_us,
@@ -1148,7 +1102,6 @@ impl FaasEngine {
         let arrived = self.now;
         if self.batch[idx].first_arrival.is_none() {
             self.batch[idx].first_arrival = Some(arrived);
-            self.spans.open(idx as u64, arrived);
         }
         self.batch[idx].attempts += 1;
         self.metrics
@@ -2128,6 +2081,43 @@ mod tests {
             Some(20)
         );
         assert_eq!(e.platform(&zone).unwrap().instance_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "phases exceed end-to-end latency")]
+    fn span_phases_exceeding_end_to_end_panic() {
+        let mut e = engine(3);
+        let acct = e.create_account(Provider::Aws);
+        let dep = e
+            .deploy(acct, &az("us-east-2a"), 2048, Arch::X86_64)
+            .unwrap();
+        let mut state = RequestState::new(CompiledRequest {
+            deployment: dep,
+            account: 0,
+            az_idx: 0,
+            memory_mb: 2048,
+            arch: Arch::X86_64,
+            provider: Provider::Aws,
+            body: RequestBody::Sleep {
+                duration: SimDuration::from_millis(5),
+            },
+            mode: ExecMode::Cached,
+            cache_ttl: SimDuration::ZERO,
+        });
+        // 5 ms of execute inside a 1 ms end-to-end span: `route` would
+        // be negative, which must panic rather than wrap.
+        state.first_arrival = Some(e.now());
+        state.span_exec = SimDuration::from_millis(5);
+        e.batch = vec![state];
+        e.batch_pending = 1;
+        let finished = e.now() + SimDuration::from_millis(1);
+        e.resolve_final(
+            0,
+            finished,
+            InvocationStatus::Throttled,
+            SimDuration::ZERO,
+            0.0,
+        );
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub mod lifecycle;
 pub mod platform;
 pub mod report;
 pub mod request;
-pub mod sharded;
 
 pub use engine::{DeployError, Deployment, FaasEngine, FleetConfig};
 pub use ids::{AccountId, DeploymentId, HostId, InstanceId};
@@ -45,4 +44,3 @@ pub use lifecycle::{ExecMode, ExecProfile, FiEvent, FiState, PoolPolicy, Snapsho
 pub use platform::{AzPlatform, CapacityError, Host, Instance, PoolTickStats, Snapshot};
 pub use report::SaafReport;
 pub use request::{BatchRequest, InvocationOutcome, InvocationStatus, RequestBody, WorkloadSpec};
-pub use sharded::{FleetCounts, FleetReport, FleetRequest, ShardedFleet};

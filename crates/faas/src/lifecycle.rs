@@ -188,7 +188,7 @@ impl FiState {
 
 /// Declarative pre-warm pool sizing. All arithmetic is integer (the
 /// EWMA is fixed-point x256) so pool decisions are exactly reproducible
-/// and shard-order-free.
+/// and independent of `--jobs` merge order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolPolicy {
     /// No pre-warm pool (the default).

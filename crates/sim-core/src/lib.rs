@@ -21,8 +21,8 @@
 //! * [`series`] — labelled (x, y) series and plain-text table rendering used
 //!   by the figure/table regeneration binaries.
 //! * [`metrics`] — the deterministic observability layer: a typed registry of
-//!   counters/gauges/log-bucketed histograms, per-request span accounting,
-//!   and mergeable snapshots with Prometheus-text and JSON exporters.
+//!   counters/gauges/log-bucketed histograms and mergeable snapshots with
+//!   Prometheus-text and JSON exporters.
 //!
 //! The engine is intentionally free of wall-clock access: given the same
 //! seed and inputs, every experiment in the workspace reproduces
@@ -48,16 +48,11 @@ pub mod series;
 pub mod slab;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use events::{BinaryHeapQueue, EventQueue};
-pub use metrics::{
-    LogHistogram, MetricHandle, MetricValue, MetricsRegistry, MetricsSnapshot, SpanPhase,
-    SpanTracker,
-};
+pub use metrics::{LogHistogram, MetricHandle, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use rng::SimRng;
 pub use series::{Series, Table};
 pub use slab::{Slab, SlotKey};
 pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLevel, Tracer};

@@ -41,10 +41,9 @@ fn registry_names_are_unique_and_well_formed() {
     }
     assert_eq!(
         seen.len(),
-        29,
-        "expected the 24 ported binaries plus bench_engine_fleet, \
-         fig_exec_modes, ablation_mode_routing, fig_drift_regret and \
-         ablation_drift_lag"
+        28,
+        "expected the 24 ported binaries plus fig_exec_modes, \
+         ablation_mode_routing, fig_drift_regret and ablation_drift_lag"
     );
 }
 

@@ -353,20 +353,31 @@ fn fault_plan_fires_each_event_exactly_once_within_its_window() {
         let start = engine.now() + SimDuration::from_mins(1);
         let plan = FaultPlan::random_storm(&mut rng, &zones, start, SimDuration::from_mins(30), 8);
         engine.set_fault_plan(&plan);
-        engine.advance_to(plan.last_end().unwrap() + SimDuration::from_mins(1));
 
-        let fired: Vec<_> = engine.tracer().with_tag("faas.fault").collect();
-        assert_eq!(engine.tracer().dropped(), 0, "trace ring overflowed");
-        assert_eq!(
-            fired.len(),
-            plan.events().len(),
-            "every scheduled fault fires exactly once"
-        );
-        let mut fire_times: Vec<_> = fired.iter().map(|e| e.at).collect();
-        fire_times.sort();
+        // Arming is metered per event on `faas/faults_armed`: none may
+        // arm before its start, and all arm by it.
+        let armed = |engine: &FaasEngine| {
+            engine
+                .metrics_snapshot()
+                .counter_sum("faas", "faults_armed")
+        };
         let mut starts: Vec<_> = plan.events().iter().map(|e| e.start).collect();
         starts.sort();
-        assert_eq!(fire_times, starts, "faults arm exactly at their start");
+        starts.dedup();
+        for &at in &starts {
+            let before = plan.events().iter().filter(|e| e.start < at).count() as u64;
+            engine.advance_to(at - SimDuration::from_micros(1));
+            assert_eq!(armed(&engine), before, "no fault arms before its start");
+            let by = plan.events().iter().filter(|e| e.start <= at).count() as u64;
+            engine.advance_to(at);
+            assert_eq!(armed(&engine), by, "faults arm exactly at their start");
+        }
+        engine.advance_to(plan.last_end().unwrap() + SimDuration::from_mins(1));
+        assert_eq!(
+            armed(&engine),
+            plan.events().len() as u64,
+            "every scheduled fault fires exactly once"
+        );
         for ev in plan.events() {
             assert!(ev.active_at(ev.start), "window includes its own start");
             assert!(!ev.active_at(ev.end()), "window is half-open");

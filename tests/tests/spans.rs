@@ -1,9 +1,9 @@
 //! Request-span lifecycle invariants: every submitted request opens and
 //! closes exactly one span, phase durations partition end-to-end latency
-//! *exactly* (integer microseconds), and no span survives engine
-//! teardown (the engine asserts `open_count() == 0` after every batch —
-//! these tests drive enough traffic through cold starts, throttles and
-//! retries to make that assertion bite if the accounting ever drifts).
+//! *exactly* (integer microseconds), and no span survives a batch (the
+//! `span/opened` and `span/closed` counters both equal the requests
+//! issued — these tests drive enough traffic through cold starts,
+//! throttles and retries to make that bite if the accounting drifts).
 
 use sky_cloud::{Arch, Catalog, Provider};
 use sky_faas::{BatchRequest, FaasEngine, FleetConfig, RequestBody, WorkloadSpec};
@@ -30,6 +30,16 @@ fn span_hist_totals(snap: &MetricsSnapshot, name: &str) -> (u64, u64) {
     (count, sum)
 }
 
+/// The `span/opened` and `span/closed` counters.
+fn span_totals(engine: &FaasEngine) -> (u64, u64) {
+    let snap = engine.metrics_snapshot();
+    let total = |name| {
+        snap.counter("span", name, &[])
+            .expect("span counter exported")
+    };
+    (total("opened"), total("closed"))
+}
+
 #[test]
 fn every_request_closes_exactly_one_span() {
     let mut engine = new_engine(11);
@@ -50,11 +60,14 @@ fn every_request_closes_exactly_one_span() {
             .collect();
         issued += n as u64;
         engine.run_batch(requests);
-        assert_eq!(engine.spans().open_count(), 0, "no span survives a batch");
+        assert_eq!(
+            span_totals(&engine),
+            (issued, issued),
+            "no span survives a batch"
+        );
         engine.advance_by(SimDuration::from_mins(2));
     }
-    assert_eq!(engine.spans().opened_total(), issued);
-    assert_eq!(engine.spans().closed_total(), issued);
+    assert_eq!(span_totals(&engine), (issued, issued));
 }
 
 #[test]
@@ -89,7 +102,7 @@ fn span_phases_partition_end_to_end_latency() {
     let (warm_n, warm_sum) = span_hist_totals(&snap, "warm_start_us");
     let (exec_n, exec_sum) = span_hist_totals(&snap, "execute_us");
 
-    assert_eq!(e2e_n, engine.spans().closed_total());
+    assert_eq!(e2e_n, span_totals(&engine).1);
     assert_eq!(route_n, e2e_n, "every span records a route phase");
     assert_eq!(exec_n, e2e_n, "every span records an execute phase");
     assert_eq!(
@@ -127,9 +140,7 @@ fn shed_requests_still_close_their_spans() {
         .collect();
     let outcomes = engine.run_batch(requests);
     assert_eq!(outcomes.len(), n);
-    assert_eq!(engine.spans().open_count(), 0);
-    assert_eq!(engine.spans().opened_total(), n as u64);
-    assert_eq!(engine.spans().closed_total(), n as u64);
+    assert_eq!(span_totals(&engine), (n as u64, n as u64));
     let snap = engine.metrics_snapshot();
     let shed = snap.counter_sum("faas", "requests")
         - snap
@@ -192,7 +203,7 @@ fn restore_spans_extend_the_phase_partition() {
     let (exec_n, exec_sum) = span_hist_totals(&snap, "execute_us");
 
     assert!(restore_n > 0, "the schedule must exercise restored starts");
-    assert_eq!(e2e_n, engine.spans().closed_total());
+    assert_eq!(e2e_n, span_totals(&engine).1);
     assert_eq!(route_n, e2e_n, "every span records a route phase");
     assert_eq!(exec_n, e2e_n, "every span records an execute phase");
     assert_eq!(
