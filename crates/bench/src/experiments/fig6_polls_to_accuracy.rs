@@ -12,8 +12,9 @@ use crate::{ex4_zones, Scale};
 use sky_core::cloud::{Catalog, Provider};
 use sky_core::faas::{FaasEngine, FleetConfig};
 use sky_core::sim::series::Table;
-use sky_core::sim::SimDuration;
-use sky_core::{run_temporal_campaign, CampaignConfig, PollConfig, TemporalConfig};
+use sky_core::{
+    run_temporal_campaign, CampaignConfig, PollConfig, TemporalConfig, RESAMPLE_CADENCE,
+};
 
 /// See the module docs.
 pub struct Fig6PollsToAccuracy;
@@ -42,7 +43,7 @@ impl Experiment for Fig6PollsToAccuracy {
         let account = engine.create_account(Provider::Aws);
         let config = TemporalConfig {
             observations: scale.pick(14, 3),
-            cadence: SimDuration::from_hours(22),
+            cadence: RESAMPLE_CADENCE,
             campaign: CampaignConfig {
                 poll: PollConfig {
                     requests: scale.pick(1_000, 300),

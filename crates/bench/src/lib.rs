@@ -13,9 +13,7 @@
 //! default, or `quick` for a fast smoke run at reduced sample counts);
 //! unknown values are rejected with an error rather than silently mapped.
 
-pub mod exec_modes;
 pub mod experiments;
-pub mod faults;
 pub mod registry;
 pub mod report;
 pub mod sweep;

@@ -11,9 +11,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::faults::fig_faults_with_metrics;
+use crate::experiments::fig_faults::fig_faults_with_metrics;
 use crate::sweep::Jobs;
-use crate::{profile_workload, run_daily_routing, DailyRoutingConfig, Scale, World, WORLD_SEED};
+use crate::{
+    profile_workload, run_daily_routing, DailyOutcome, DailyRoutingConfig, Scale, World, WORLD_SEED,
+};
 use sky_core::sim::series::Table;
 use sky_core::sim::{LogHistogram, MetricsSnapshot};
 use sky_core::workloads::WorkloadKind;
@@ -27,9 +29,11 @@ pub fn fig_faults_metrics(scale: Scale, jobs: Jobs) -> MetricsSnapshot {
         .with_label("experiment", "fig_faults")
 }
 
-/// Metric snapshot of the multi-day regional-routing experiment (the
-/// `daily_routing` golden scenario), tagged `experiment="daily_routing"`.
-pub fn daily_routing_metrics(scale: Scale) -> MetricsSnapshot {
+/// The multi-day regional-routing scenario behind the `daily_routing`
+/// golden: GraphBfs profiled in us-west-1b, then daily bursts routed
+/// between us-west-1b and us-west-1a. Returns the per-day outcomes and
+/// the world's metric snapshot, tagged `experiment="daily_routing"`.
+pub fn daily_routing(scale: Scale) -> (Vec<DailyOutcome>, MetricsSnapshot) {
     let mut world = World::new(WORLD_SEED);
     let primary = World::az("us-west-1b");
     let probe = world
@@ -54,16 +58,17 @@ pub fn daily_routing_metrics(scale: Scale) -> MetricsSnapshot {
         sampled_azs: candidates,
         polls_per_day: 2,
     };
-    run_daily_routing(&mut world, &table, &config);
-    world
+    let outcomes = run_daily_routing(&mut world, &table, &config);
+    let metrics = world
         .metrics_snapshot()
-        .with_label("experiment", "daily_routing")
+        .with_label("experiment", "daily_routing");
+    (outcomes, metrics)
 }
 
 /// The full report snapshot: `fig_faults` merged with `daily_routing`.
 pub fn report_snapshot(scale: Scale, jobs: Jobs) -> MetricsSnapshot {
     let mut snap = fig_faults_metrics(scale, jobs);
-    snap.merge(&daily_routing_metrics(scale));
+    snap.merge(&daily_routing(scale).1);
     snap
 }
 

@@ -16,7 +16,6 @@
 //!                      [--policy baseline|regional|retry-slow|focus|hybrid
 //!                       |ucb-az|thompson-az]
 //!                      [--burst N] [--seed N]
-//! skyward faults       [--jobs N] [--scale quick|full]
 //! skyward report       [--jobs N] [--scale quick|full] [--format table|prom|json]
 //! skyward lint         [--root PATH] [--format human|json]
 //! ```
@@ -85,10 +84,6 @@ fn run(raw: Vec<String>) -> Result<(), String> {
             cmd_profile(&args, seed)
         }
         Some("route") => cmd_route(&args, seed),
-        Some("faults") => {
-            expect_arity(&args, 1)?;
-            cmd_faults(&args)
-        }
         Some("report") => {
             expect_arity(&args, 1)?;
             cmd_report(&args)
@@ -136,17 +131,14 @@ fn print_help() {
          \x20              [--policy baseline|regional|retry-slow|focus|hybrid\n\
          \x20               |ucb-az|thompson-az]\n\
          \x20              [--burst N]                compare a policy against the baseline\n\
-         \x20 faults       [--jobs N] [--scale quick|full]\n\
-         \x20                                         baseline vs resilient client under\n\
-         \x20                                         each injected fault class\n\
          \x20 report       [--jobs N] [--scale quick|full] [--format table|prom|json]\n\
          \x20                                         deterministic metrics rollup of the\n\
          \x20                                         standard experiments (per-AZ and\n\
          \x20                                         per-policy breakdowns)\n\
          \x20 lint         [--root PATH] [--format human|json] [--jobs N]\n\
          \x20                                         determinism static + semantic\n\
-         \x20                                         analysis (rules D001-D011; exits 1\n\
-         \x20                                         on findings)\n\
+         \x20                                         analysis (rules D001-D009 and D011;\n\
+         \x20                                         exits 1 on findings)\n\
          \x20 lint --fix-pragmas [--write]            delete unused sky-lint pragmas\n\
          \x20                                         (P002); prints a diff, applies\n\
          \x20                                         only with --write\n\
@@ -646,14 +638,6 @@ fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
             failures.join(", ")
         ))
     }
-}
-
-fn cmd_faults(args: &Args) -> Result<(), String> {
-    let scale = resolve_scale(args)?;
-    let jobs = resolve_jobs(args)?;
-    let rows = sky_bench::faults::fig_faults_rows(scale, jobs);
-    print!("{}", sky_bench::faults::render_fig_faults(&rows));
-    Ok(())
 }
 
 fn cmd_report(args: &Args) -> Result<(), String> {

@@ -1,5 +1,6 @@
-//! `skyward exp run` writes side artifacts where it is told: into
-//! `--out DIR`, never into the checkout the binary was built from.
+//! The `skyward exp run` surface: side artifacts go where they are told
+//! (into `--out DIR`, never into the checkout the binary was built
+//! from), and without `--out` the report goes to stdout byte-for-byte.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -46,4 +47,45 @@ fn exp_run_writes_artifacts_into_out_dir() {
     );
 
     std::fs::remove_dir_all(&scratch).expect("remove scratch directory");
+}
+
+#[test]
+fn fig_faults_runs_through_the_registry_only() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/exp/fig_faults_quick.txt");
+    let expected = std::fs::read_to_string(&golden).expect("fig_faults golden is checked in");
+
+    let run = Command::new(env!("CARGO_BIN_EXE_skyward"))
+        .args([
+            "exp",
+            "run",
+            "fig_faults",
+            "--scale",
+            "quick",
+            "--jobs",
+            "2",
+        ])
+        .output()
+        .expect("skyward runs");
+    assert!(
+        run.status.success(),
+        "skyward exp run fig_faults failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(
+        String::from_utf8_lossy(&run.stdout) == expected,
+        "stdout differs from {}",
+        golden.display()
+    );
+
+    let removed = Command::new(env!("CARGO_BIN_EXE_skyward"))
+        .arg("faults")
+        .output()
+        .expect("skyward runs");
+    assert_eq!(removed.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&removed.stderr).contains("unknown command"),
+        "stderr: {}",
+        String::from_utf8_lossy(&removed.stderr)
+    );
 }

@@ -14,6 +14,10 @@ use sky_sim::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+/// The paper's re-characterization cadence: 22 h, so the probe hour
+/// walks around the clock (§4.4).
+pub const RESAMPLE_CADENCE: SimDuration = SimDuration::from_hours(22);
+
 /// The single shared notion of "estimate age": how long ago the evidence
 /// behind an estimate was observed. Everything that reasons about
 /// recency — the store's staleness policy, the temporal campaigns'

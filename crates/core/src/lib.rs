@@ -66,7 +66,7 @@ pub mod store;
 pub mod streaming;
 pub mod temporal;
 
-pub use characterization::Characterization;
+pub use characterization::{Characterization, RESAMPLE_CADENCE};
 pub use cost::CostLedger;
 pub use profiler::{ProfileRun, RuntimeTable, WorkloadProfiler};
 pub use resilience::{

@@ -5,16 +5,14 @@
 //! producing Figure 9 (runtimes normalized to the 2.5 GHz baseline) and
 //! the lookup table the smart router uses to rank CPUs per workload.
 //!
-//! The same machinery implements the paper's §4.6 future-work item:
-//! **passive characterization** — every routed production request already
-//! carries a SAAF report, so its CPU observation can be folded back into
-//! the characterization store at zero marginal probing cost.
+//! Passive characterization (paper §4.6) is not folded here: callers
+//! that want the zone's CPU mix from the same traffic enable the
+//! engine's completion observation hook and drain it per zone.
 
-use crate::characterization::Characterization;
 use serde::{Deserialize, Serialize};
 use sky_cloud::{AzId, CpuType};
 use sky_faas::{
-    BatchRequest, DeploymentId, FaasEngine, InvocationOutcome, RequestBody, WorkloadSpec,
+    BatchRequest, DeploymentId, FaasEngine, InvocationStatus, RequestBody, WorkloadSpec,
 };
 use sky_sim::{OnlineStats, SimDuration, SimRng};
 use sky_workloads::WorkloadKind;
@@ -163,12 +161,10 @@ pub struct ProfileRun {
     pub cost_usd: f64,
 }
 
-/// Drives profiling runs and passive-characterization folding.
+/// Drives profiling runs into a [`RuntimeTable`].
 #[derive(Debug, Default)]
 pub struct WorkloadProfiler {
     table: RuntimeTable,
-    /// Passive characterizations per zone, built from routed traffic.
-    passive: BTreeMap<AzId, Characterization>,
 }
 
 impl WorkloadProfiler {
@@ -185,29 +181,6 @@ impl WorkloadProfiler {
     /// Consume the profiler, returning the learned table.
     pub fn into_table(self) -> RuntimeTable {
         self.table
-    }
-
-    /// The passive characterization accumulated for a zone (paper §4.6:
-    /// characterization "constructed passively as part of the normal
-    /// function execution").
-    pub fn passive_characterization(&self, az: &AzId) -> Option<&Characterization> {
-        self.passive.get(az)
-    }
-
-    /// Fold a batch of outcomes (from any source — profiling runs or
-    /// production traffic) into the table and passive characterizations.
-    pub fn fold_outcomes(&mut self, kind: WorkloadKind, outcomes: &[InvocationOutcome]) {
-        for o in outcomes {
-            if let sky_faas::InvocationStatus::Success(report) = &o.status {
-                if let Some(cpu) = report.cpu_type() {
-                    self.table.record(kind, cpu, o.billed);
-                }
-                self.passive
-                    .entry(report.az.clone())
-                    .or_default()
-                    .observe(report);
-            }
-        }
     }
 
     /// Run `n` invocations of `kind` against a deployment, in waves of
@@ -246,13 +219,16 @@ impl WorkloadProfiler {
             for o in &outcomes {
                 // sky-lint: allow(D005, outcome-ordered f64 USD fold for the profile report; metered billing stays integer nano-USD in metrics)
                 cost += o.total_cost_usd();
-                if o.status.is_success() {
-                    completed += 1;
-                } else {
-                    errors += 1;
+                match &o.status {
+                    InvocationStatus::Success(report) => {
+                        completed += 1;
+                        if let Some(cpu) = report.cpu_type() {
+                            self.table.record(kind, cpu, o.billed);
+                        }
+                    }
+                    _ => errors += 1,
                 }
             }
-            self.fold_outcomes(kind, &outcomes);
             // Let the wave's FIs idle so the next wave re-rolls placement
             // across the pool rather than reusing one clique of hosts.
             engine.advance_by(SimDuration::from_mins(10));
@@ -403,8 +379,5 @@ mod tests {
                 "{cpu}: observed {factor:.3} vs model {model:.3}"
             );
         }
-        // Passive characterization accumulated alongside.
-        let passive = profiler.passive_characterization(&az).unwrap();
-        assert!(passive.unique_fis() > 50);
     }
 }

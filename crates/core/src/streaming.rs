@@ -20,7 +20,7 @@
 //! same style as the PR-7 pool EWMA), so estimates are byte-identical
 //! across runs and `--jobs` settings.
 
-use crate::characterization::estimate_age;
+use crate::characterization::{estimate_age, RESAMPLE_CADENCE};
 use serde::{Deserialize, Serialize};
 use sky_cloud::{AzId, CpuMix, CpuType};
 use sky_faas::SaafReport;
@@ -71,25 +71,21 @@ pub trait Characterizer {
 }
 
 /// The paper's static comparator: the estimate is whatever the last
-/// sampling campaign saw, re-sampling happens on a fixed cadence (22 h
-/// by default) while budget remains, and production traffic teaches it
-/// nothing. Routing through this characterizer reproduces the existing
+/// sampling campaign saw, re-sampling happens every [`RESAMPLE_CADENCE`]
+/// while budget remains, and production traffic teaches it nothing.
+/// Routing through this characterizer reproduces the existing
 /// store-driven behavior byte-identically.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StaticCharacterizer {
-    /// Re-sampling cadence (paper: 22 h, so the probe hour walks around
-    /// the clock).
-    pub cadence: SimDuration,
     probe_budget: u32,
     probes_used: u32,
     snapshots: BTreeMap<AzId, (SimTime, CpuMix)>,
 }
 
 impl StaticCharacterizer {
-    /// A static characterizer with the paper's 22 h cadence.
+    /// A static characterizer with the given probe budget.
     pub fn new(probe_budget: u32) -> Self {
         StaticCharacterizer {
-            cadence: SimDuration::from_hours(22),
             probe_budget,
             probes_used: 0,
             snapshots: BTreeMap::new(),
@@ -121,7 +117,7 @@ impl Characterizer for StaticCharacterizer {
         }
         match self.last_evidence_at(az) {
             None => true,
-            Some(at) => estimate_age(at, now) >= self.cadence,
+            Some(at) => estimate_age(at, now) >= RESAMPLE_CADENCE,
         }
     }
 

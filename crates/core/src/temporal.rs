@@ -7,6 +7,7 @@
 //! the paper's two questions: *how many polls does an accurate
 //! characterization take?* and *how long does it stay valid?*
 
+use crate::characterization::RESAMPLE_CADENCE;
 use crate::sampling::{CampaignConfig, SamplingCampaign};
 use crate::store::CharacterizationStore;
 use serde::{Deserialize, Serialize};
@@ -19,8 +20,8 @@ use sky_sim::{SimDuration, SimTime};
 pub struct TemporalConfig {
     /// Number of observations to take.
     pub observations: u32,
-    /// Gap between observations (22 h in EX-4 so the sampling hour
-    /// drifts across the day; 1 h for the Figure-8 probe).
+    /// Gap between observations ([`RESAMPLE_CADENCE`] in EX-4, so the
+    /// sampling hour drifts across the day; 1 h for the Figure-8 probe).
     pub cadence: SimDuration,
     /// Per-observation sampling campaign parameters.
     pub campaign: CampaignConfig,
@@ -33,7 +34,7 @@ impl Default for TemporalConfig {
     fn default() -> Self {
         TemporalConfig {
             observations: 14,
-            cadence: SimDuration::from_hours(22),
+            cadence: RESAMPLE_CADENCE,
             campaign: CampaignConfig::default(),
             accuracy_targets_pct: vec![15.0, 10.0, 5.0, 1.0],
         }

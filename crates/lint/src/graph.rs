@@ -1,18 +1,14 @@
 //! Intra-crate call graph over the [`WorkspaceModel`].
 //!
-//! Resolution is name-based and deliberately crate-local: the rules
-//! that consume the graph (D008 lineage propagation, D010 span-pairing
-//! reachability) are about invariants *within* a subsystem, and
-//! cross-crate name resolution without type inference would be guesswork.
+//! Resolution is name-based and deliberately crate-local: the rule
+//! that consumes the graph (D008 lineage propagation) is about an
+//! invariant *within* a subsystem, and cross-crate name resolution
+//! without type inference would be guesswork.
 //!
-//! Two resolution modes, matched to how each rule can fail:
-//!
-//! * [`CallGraph::resolve_unambiguous`] — a single candidate or
-//!   nothing. Used by D008, where connecting a call to the *wrong*
-//!   callee would invent a collision (false positive).
-//! * [`CallGraph::resolve_all`] — every plausible candidate. Used by
-//!   D010 reachability, where extra edges can only make more `close`
-//!   sites reachable (fewer false positives).
+//! [`CallGraph::resolve_unambiguous`] returns a single candidate or
+//! nothing: connecting a call to the *wrong* callee would invent a
+//! collision (a false positive), so an ambiguous call contributes no
+//! edge. [`CallGraph::resolve_all`] lists every plausible candidate.
 
 use std::collections::BTreeMap;
 
@@ -139,24 +135,6 @@ impl CallGraph {
             _ => None,
         }
     }
-
-    /// Deterministic BFS over `resolve_all` edges, including `from`.
-    pub fn reachable(&self, model: &WorkspaceModel, from: FnId) -> Vec<FnId> {
-        let mut seen: Vec<FnId> = vec![from];
-        let mut queue: Vec<FnId> = vec![from];
-        while let Some(id) = queue.pop() {
-            for call in &self.func(model, id).facts.calls {
-                for next in self.resolve_all(model, id, call) {
-                    if !seen.contains(&next) {
-                        seen.push(next);
-                        queue.push(next);
-                    }
-                }
-            }
-        }
-        seen.sort_unstable();
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -207,16 +185,5 @@ mod tests {
         let call = &g.func(&m, f).facts.calls[0];
         assert_eq!(g.resolve_unambiguous(&m, f, call), None);
         assert_eq!(g.resolve_all(&m, f, call).len(), 2);
-    }
-
-    #[test]
-    fn reachability_follows_chains_and_handles_cycles() {
-        let m = model(&[(
-            "crates/faas/src/a.rs",
-            "fn a() { b(); } fn b() { c(); a(); } fn c() {} fn lone() {}",
-        )]);
-        let g = CallGraph::build(&m);
-        assert_eq!(g.reachable(&m, (0, 0)), vec![(0, 0), (0, 1), (0, 2)]);
-        assert_eq!(g.reachable(&m, (0, 3)), vec![(0, 3)]);
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! * **token rules** (D001–D007, [`rules`]) — per-file, resolvable on
 //!   the raw token stream;
-//! * **semantic rules** (D008–D011, [`semantic`]) — interprocedural,
+//! * **semantic rules** (D008, D009, D011, [`semantic`]) — workspace-wide,
 //!   run over a [`model::WorkspaceModel`] built by a lightweight
 //!   item-level parser ([`parser`]) with an intra-crate call graph
 //!   ([`graph`]).

@@ -1,16 +1,16 @@
 //! The [`WorkspaceModel`]: per-function *facts* extracted from parsed
-//! files, the substrate the interprocedural rules (D008–D011) run on.
+//! files, the substrate the workspace rules (D008, D009, D011) run on.
 //!
 //! Facts are extracted once per file — derive sites with their receiver
 //! roots and loop context, call sites with argument roots, metric
-//! registration/touch sites, span open/close sites, rebindings — and
+//! registration/touch sites, rebindings — and
 //! the token stream is then dropped. Everything downstream (the call
 //! graph, the semantic rules) works on this compact model, which keeps
 //! whole-workspace analysis cheap and, because the model is sorted by
 //! path at construction, byte-stable across file discovery order.
 
 use crate::lexer::{Lexed, Tok, Token};
-use crate::parser::{FileAst, FnItem, MacroUse, StaticItem, StructItem};
+use crate::parser::{FileAst, FnItem, MacroUse, StaticItem};
 
 /// The whole-workspace model: one [`FileModel`] per file, sorted by
 /// workspace-relative path.
@@ -33,17 +33,12 @@ impl WorkspaceModel {
 pub struct FileModel {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Struct definitions (for D011 reachability).
-    pub structs: Vec<StructItem>,
     /// `static` items (for D011).
     pub statics: Vec<StaticItem>,
     /// Macro invocations (for D011 `lazy_static!`).
     pub macro_uses: Vec<MacroUse>,
     /// Functions with their extracted facts, in source order.
     pub fns: Vec<FnModel>,
-    /// Sorted, deduplicated uppercase-initial identifiers mentioned
-    /// anywhere in the file — the D011 type-reference seed set.
-    pub type_refs: Vec<String>,
 }
 
 /// One function: its parsed item plus the facts the rules consume.
@@ -68,10 +63,6 @@ pub struct FnFacts {
     pub metric_regs: Vec<MetricReg>,
     /// Handle-based metric touches (`add`/`set_gauge`/`observe`…).
     pub metric_touches: Vec<MetricTouch>,
-    /// `.open(…)` calls on a span-ish receiver.
-    pub span_opens: Vec<(u32, u32)>,
-    /// Number of `.close(…)` calls on a span-ish receiver.
-    pub span_closes: u32,
     /// Rebindings (`let name = …`, `name = …`, `self.name = …`), in
     /// source order — they reset D008's per-root label tracking.
     pub rebinds: Vec<Rebind>,
@@ -229,22 +220,11 @@ pub fn extract_file(path: &str, lexed: &Lexed, ast: &FileAst) -> FileModel {
             },
         })
         .collect();
-    let mut type_refs: Vec<String> = toks
-        .iter()
-        .filter_map(|t| match &t.tok {
-            Tok::Ident(s) if s.starts_with(|c: char| c.is_ascii_uppercase()) => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
-    type_refs.sort();
-    type_refs.dedup();
     FileModel {
         path: path.to_string(),
-        structs: ast.structs.clone(),
         statics: ast.statics.clone(),
         macro_uses: ast.macro_uses.clone(),
         fns,
-        type_refs,
     }
 }
 
@@ -516,21 +496,6 @@ fn extract_facts(toks: &[Token], start: usize, end: usize, bodies: &[(usize, usi
                     }
                 }
             }
-            if name == "open" || name == "close" {
-                let (root, _) = receiver_chain(toks, i - 1);
-                if let RecvRoot::Named(chain) = &root {
-                    if chain
-                        .split('.')
-                        .any(|seg| seg.to_ascii_lowercase().contains("span"))
-                    {
-                        if name == "open" {
-                            facts.span_opens.push((toks[i].line, toks[i].col));
-                        } else {
-                            facts.span_closes += 1;
-                        }
-                    }
-                }
-            }
         }
 
         // Call sites (named calls only; macro `name!(…)` has a `!`
@@ -784,15 +749,6 @@ mod tests {
             "fn f(m: &mut MetricsRegistry) -> H { H { success: m.counter(\"faas\", \"requests\", &l), } }",
         );
         assert_eq!(f.metric_regs[0].target.as_deref(), Some("success"));
-    }
-
-    #[test]
-    fn span_sites_need_a_spanish_receiver() {
-        let f = facts_of(
-            "fn f(&mut self) { self.spans.open(id, t); file.open(path); self.spans.close(id, t, p); }",
-        );
-        assert_eq!(f.span_opens.len(), 1);
-        assert_eq!(f.span_closes, 1);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! An item-level Rust parser on top of [`crate::lexer`]: exactly the
-//! structure the workspace semantic rules (D008–D011) need, and nothing
+//! structure the workspace rules (D008, D009, D011) need, and nothing
 //! more.
 //!
 //! The parser extracts *items* — functions (with parameter lists and
 //! body token ranges), impl blocks (to qualify methods by their type),
-//! structs (with field names and type token text), statics, and macro
-//! invocations — from the flat token stream. It is deliberately
-//! approximate where Rust's grammar is deep (pattern parameters, const
-//! generics in return types) and deliberately exact where the rules
-//! depend on it (body brace matching, `impl Trait for Type` naming,
-//! field type text).
+//! statics, and macro invocations — from the flat token stream. It is
+//! deliberately approximate where Rust's grammar is deep (pattern
+//! parameters, const generics in return types) and deliberately exact
+//! where the rules depend on it (body brace matching, `impl Trait for
+//! Type` naming, static type text).
 //!
 //! Two hard guarantees, both enforced by `tests/model.rs`:
 //!
@@ -28,8 +27,6 @@ use crate::lexer::{Lexed, Tok, Token};
 pub struct FileAst {
     /// Function items (free fns, methods, nested fns), in source order.
     pub fns: Vec<FnItem>,
-    /// Struct definitions with named fields, in source order.
-    pub structs: Vec<StructItem>,
     /// `static` items, in source order.
     pub statics: Vec<StaticItem>,
     /// Macro invocations (`name!(…)` / `name!{…}` / `name![…]`).
@@ -61,30 +58,6 @@ pub struct Param {
     /// Binding name; empty for destructuring patterns.
     pub name: String,
     /// Space-joined type token text (e.g. `& mut SimRng`).
-    pub ty: String,
-}
-
-/// A struct definition with named fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructItem {
-    /// Struct name.
-    pub name: String,
-    /// 1-based line of the name.
-    pub line: u32,
-    /// Named fields in order (tuple/unit structs parse as empty).
-    pub fields: Vec<FieldItem>,
-}
-
-/// One named struct field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldItem {
-    /// Field name.
-    pub name: String,
-    /// 1-based line of the field name.
-    pub line: u32,
-    /// 1-based column of the field name.
-    pub col: u32,
-    /// Space-joined type token text (e.g. `Arc < Mutex < Vec < u64 > > >`).
     pub ty: String,
 }
 
@@ -359,11 +332,6 @@ pub fn parse_file(lexed: &Lexed) -> FileAst {
                 // Continue scanning from inside the header so nested
                 // fns and the body's braces are seen by this loop.
             }
-            Tok::Ident(kw) if kw == "struct" => {
-                if let Some(item) = parse_struct(toks, i) {
-                    ast.structs.push(item);
-                }
-            }
             Tok::Ident(kw) if kw == "static" => {
                 if let Some(item) = parse_static(toks, i) {
                     ast.statics.push(item);
@@ -474,68 +442,6 @@ fn parse_fn(toks: &[Token], i: usize, container: Option<String>) -> Option<(FnIt
     None
 }
 
-/// Parse a `struct` item starting at the `struct` keyword.
-fn parse_struct(toks: &[Token], i: usize) -> Option<StructItem> {
-    let name = ident(toks, i + 1)?.to_string();
-    let line = toks[i + 1].line;
-    let mut j = i + 2;
-    if punct(toks, j) == Some('<') {
-        j = skip_angles(toks, j);
-    }
-    // Walk the (optional) where clause to `{`, `(` or `;`.
-    loop {
-        match punct(toks, j) {
-            Some('{') => break,
-            Some('(') | Some(';') | None => {
-                // Tuple or unit struct: no named fields to model.
-                return Some(StructItem {
-                    name,
-                    line,
-                    fields: Vec::new(),
-                });
-            }
-            _ => j += 1,
-        }
-        if j >= toks.len() {
-            return Some(StructItem {
-                name,
-                line,
-                fields: Vec::new(),
-            });
-        }
-    }
-    let end = find_matching(toks, j);
-    let body = toks.get(j + 1..end)?;
-    let mut fields = Vec::new();
-    for (a, b) in split_commas(body) {
-        if let Some(f) = parse_field(&body[a..b]) {
-            fields.push(f);
-        }
-    }
-    Some(StructItem { name, line, fields })
-}
-
-/// Parse one struct field slice (`[pub] name: Type`).
-fn parse_field(toks: &[Token]) -> Option<FieldItem> {
-    let mut s = skip_attrs(toks, 0);
-    if ident(toks, s) == Some("pub") {
-        s += 1;
-        if punct(toks, s) == Some('(') {
-            s = find_matching(toks, s) + 1;
-        }
-    }
-    let name = ident(toks, s)?.to_string();
-    if punct(toks, s + 1) != Some(':') {
-        return None;
-    }
-    Some(FieldItem {
-        name,
-        line: toks[s].line,
-        col: toks[s].col,
-        ty: type_text(toks.get(s + 2..)?),
-    })
-}
-
 /// Parse a `static` item starting at the `static` keyword.
 fn parse_static(toks: &[Token], i: usize) -> Option<StaticItem> {
     let mut j = i + 1;
@@ -632,26 +538,6 @@ mod tests {
         let (os, oe) = ast.fns[0].body.unwrap();
         let (is_, ie) = ast.fns[1].body.unwrap();
         assert!(os < is_ && ie <= oe);
-    }
-
-    #[test]
-    fn struct_fields_carry_type_text() {
-        let ast = parse(
-            "#[derive(Debug)] pub struct LaneShared { pub outcomes: Arc<Mutex<Vec<u64>>>, digest: u64 }",
-        );
-        assert_eq!(ast.structs.len(), 1);
-        let s = &ast.structs[0];
-        assert_eq!(s.name, "LaneShared");
-        assert_eq!(s.fields.len(), 2);
-        assert_eq!(s.fields[0].ty, "Arc < Mutex < Vec < u64 > > >");
-        assert_eq!(s.fields[1].name, "digest");
-    }
-
-    #[test]
-    fn tuple_and_unit_structs_have_no_fields() {
-        let ast = parse("struct Wrap(u64); struct Marker;");
-        assert_eq!(ast.structs.len(), 2);
-        assert!(ast.structs.iter().all(|s| s.fields.is_empty()));
     }
 
     #[test]

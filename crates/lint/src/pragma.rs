@@ -48,7 +48,7 @@ pub enum PragmaError {
         /// The offending directive text.
         directive: String,
     },
-    /// Rule id is not one of D001–D007.
+    /// Rule id is not one of [`RULE_IDS`].
     UnknownRule {
         /// 1-based line.
         line: u32,

@@ -1,5 +1,5 @@
-//! The token-level determinism rules (D001–D007). The interprocedural
-//! rules (D008–D011) live in [`crate::semantic`]; the pragma-hygiene
+//! The token-level determinism rules (D001–D007). The workspace rules
+//! (D008, D009, D011) live in [`crate::semantic`]; the pragma-hygiene
 //! findings (P001 malformed pragma, P002 unused pragma) are emitted by
 //! the pipeline in `lib.rs`.
 //!
@@ -22,15 +22,14 @@
 //! | D007 | no unordered parallel reductions (`.lock()` + `push`/`extend`/`insert`/`append` on one line) in sim crates or `bench` |
 //! | D008 | RNG lineage: no sibling-stream label collisions across function boundaries, no loop-invariant labels derived in loops |
 //! | D009 | metrics contracts: one kind per `(subsystem, name)` workspace-wide; handles touched only with their kind's methods |
-//! | D010 | span pairing: every opened span reaches a `close` through the intra-crate call graph |
-//! | D011 | cross-lane state: no `static mut` / interior-mutable statics / `lazy_static!` in parallel crates, no `Arc<Mutex<_>>`/`Arc<RwLock<_>>` fields reachable from sharded lane code |
+//! | D011 | shared global state: no `static mut` / interior-mutable statics / `lazy_static!` in sim crates or `bench` |
 
 use crate::lexer::{Lexed, Tok, Token};
 
 /// All suppressible rule ids (P001/P002 are not suppressible: pragma
 /// hygiene cannot be pragma'd away).
-pub const RULE_IDS: [&str; 11] = [
-    "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D010", "D011",
+pub const RULE_IDS: [&str; 10] = [
+    "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D011",
 ];
 
 /// Crates whose code runs inside (or feeds state into) the seeded
@@ -67,7 +66,7 @@ struct FileScope {
     wallclock_allowed: bool,
     /// Inside a crate that may run parallel reductions over sim
     /// results — the sim crates plus `bench`, home of the sweep
-    /// runner and the sharded fleet driver (the D007 scope).
+    /// runner (the D007 scope).
     parallel: bool,
 }
 

@@ -1,21 +1,20 @@
-//! The interprocedural rules D008–D011, run over the [`WorkspaceModel`]
-//! and its [`CallGraph`].
+//! The workspace rules D008, D009 and D011, run over the
+//! [`WorkspaceModel`] and its [`CallGraph`].
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | D008 | RNG lineage: no two sibling streams derived from one parent share a label (across function boundaries), and no loop derives a loop-invariant label (every iteration would get the identical stream) |
 //! | D009 | metrics contracts: each `(subsystem, name)` identity has exactly one kind workspace-wide, and handles are only touched with their registered kind's methods |
-//! | D010 | span pairing: a function that opens a span must reach a `close` through the intra-crate call graph |
-//! | D011 | cross-lane state: no `static mut` / interior-mutable statics / `lazy_static!` in parallel crates, and no `Arc<Mutex<_>>`/`Arc<RwLock<_>>` fields in structs reachable from `sky_faas::sharded` lane code |
+//! | D011 | shared global state: no `static mut` / interior-mutable statics / `lazy_static!` in crates that run on the parallel sweep runner |
 //!
 //! Approximation caveats (also in `DESIGN.md` §13): resolution is
 //! name-based and crate-local, so D008 only propagates through calls it
 //! can resolve *uniquely* (a missed edge is a missed finding, never a
-//! false one) while D010 follows *every* candidate edge (an extra edge
-//! can only make a `close` reachable — again erring away from false
-//! positives). D009 keys on string-literal identities; dynamically
+//! false one). D009 keys on string-literal identities; dynamically
 //! built metric names are invisible to it (the runtime registry check
-//! remains the backstop).
+//! remains the backstop). D010 (span pairing) is retired: span phases
+//! live in the engine's request state, and `resolve_final` checks the
+//! phase partition at runtime.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -30,12 +29,12 @@ pub fn semantic_findings(model: &WorkspaceModel) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_d008_rng_lineage(model, &graph, &mut out);
     rule_d009_metric_contracts(model, &mut out);
-    rule_d010_span_pairing(model, &graph, &mut out);
-    rule_d011_cross_lane_state(model, &mut out);
+    rule_d011_shared_global_state(model, &mut out);
     out
 }
 
-/// Whether a crate may run lane-parallel code (the D011 static scope).
+/// Whether a crate's code may run on the parallel sweep runner (the
+/// D011 scope).
 fn parallel_scope(path: &str) -> bool {
     let k = crate_key(path);
     SIM_CRATES.contains(&k) || k == "bench"
@@ -400,51 +399,16 @@ fn rule_d009_metric_contracts(model: &WorkspaceModel, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- D010
-
-fn rule_d010_span_pairing(model: &WorkspaceModel, graph: &CallGraph, out: &mut Vec<Finding>) {
-    for (fi, file) in model.files.iter().enumerate() {
-        for (ki, f) in file.fns.iter().enumerate() {
-            if f.facts.span_opens.is_empty() {
-                continue;
-            }
-            let closes_reachable = graph
-                .reachable(model, (fi, ki))
-                .into_iter()
-                .any(|id| graph.func(model, id).facts.span_closes > 0);
-            if closes_reachable {
-                continue;
-            }
-            for &(line, col) in &f.facts.span_opens {
-                out.push(Finding {
-                    path: file.path.clone(),
-                    line,
-                    col,
-                    rule: "D010",
-                    message: format!(
-                        "span opened in `{}` with no reachable `close` on any \
-                         intra-crate call path",
-                        f.item.name
-                    ),
-                    hint: "every opened span must be closed on every path (phases must \
-                           sum to the end-to-end time); close it here or in a callee"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------- D011
 
-/// Interior-mutability type tokens that make a static lane-unsafe.
+/// Interior-mutability type tokens that make a static unsafe to share
+/// between sweep workers.
 fn interior_mut_token(ty: &str) -> Option<&str> {
     ty.split(' ')
         .find(|t| matches!(*t, "Mutex" | "RwLock" | "RefCell" | "Cell") || t.starts_with("Atomic"))
 }
 
-fn rule_d011_cross_lane_state(model: &WorkspaceModel, out: &mut Vec<Finding>) {
-    // Statics and lazy_static in any parallel-capable crate.
+fn rule_d011_shared_global_state(model: &WorkspaceModel, out: &mut Vec<Finding>) {
     for file in &model.files {
         if !parallel_scope(&file.path) {
             continue;
@@ -458,11 +422,11 @@ fn rule_d011_cross_lane_state(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                     rule: "D011",
                     message: format!(
                         "`static mut {}` in a parallel-capable crate: writes race \
-                         across sharded lanes and thread scheduling orders them",
+                         across sweep workers and thread scheduling orders them",
                         s.name
                     ),
-                    hint: "thread the state through the lane's own struct (one owner \
-                           per lane), merged deterministically at the barrier"
+                    hint: "thread the state through the cell's own struct (one owner \
+                           per sweep cell), merged deterministically in item order"
                         .to_string(),
                 });
             } else if let Some(tok) = interior_mut_token(&s.ty) {
@@ -476,8 +440,8 @@ fn rule_d011_cross_lane_state(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                          state whose update order depends on thread scheduling",
                         s.name
                     ),
-                    hint: "give each lane its own state and merge in lane order at the \
-                           barrier; globals may only hold immutable data"
+                    hint: "give each sweep cell its own state and merge in item order; \
+                           globals may only hold immutable data"
                         .to_string(),
                 });
             }
@@ -493,75 +457,10 @@ fn rule_d011_cross_lane_state(model: &WorkspaceModel, out: &mut Vec<Finding>) {
                               initialization order and any interior mutability are \
                               scheduling-dependent"
                         .to_string(),
-                    hint: "use a `const`, a plain immutable `static`, or per-lane \
+                    hint: "use a `const`, a plain immutable `static`, or per-cell \
                            owned state"
                         .to_string(),
                 });
-            }
-        }
-    }
-
-    // Arc<Mutex<_>> / Arc<RwLock<_>> fields in structs reachable from
-    // sharded lane code.
-    let lane_file = |path: &str| path.starts_with("crates/faas/") && path.contains("sharded");
-    let mut struct_defs: BTreeMap<&str, Vec<(&str, &crate::parser::StructItem)>> = BTreeMap::new();
-    for file in &model.files {
-        for s in &file.structs {
-            struct_defs
-                .entry(s.name.as_str())
-                .or_default()
-                .push((file.path.as_str(), s));
-        }
-    }
-    let mut reachable: BTreeSet<&str> = BTreeSet::new();
-    let mut frontier: Vec<&str> = Vec::new();
-    for file in &model.files {
-        if !lane_file(&file.path) {
-            continue;
-        }
-        for r in &file.type_refs {
-            if struct_defs.contains_key(r.as_str()) && reachable.insert(r.as_str()) {
-                frontier.push(r.as_str());
-            }
-        }
-    }
-    while let Some(name) = frontier.pop() {
-        let mut next: Vec<&str> = Vec::new();
-        for (_, s) in struct_defs.get(name).into_iter().flatten() {
-            for field in &s.fields {
-                for tok in field.ty.split(' ') {
-                    if struct_defs.contains_key(tok) && reachable.insert(tok) {
-                        next.push(tok);
-                    }
-                }
-            }
-        }
-        frontier.extend(next);
-    }
-    for name in &reachable {
-        for (path, s) in struct_defs.get(name).into_iter().flatten() {
-            for field in &s.fields {
-                let toks: Vec<&str> = field.ty.split(' ').collect();
-                let shared = toks.contains(&"Arc");
-                let locked = toks.contains(&"Mutex") || toks.contains(&"RwLock");
-                if shared && locked {
-                    out.push(Finding {
-                        path: path.to_string(),
-                        line: field.line,
-                        col: field.col,
-                        rule: "D011",
-                        message: format!(
-                            "field `{}.{}` is shared lockable state (`{}`) reachable \
-                             from sharded lane code: lock acquisition order is \
-                             scheduling-dependent",
-                            s.name, field.name, field.ty
-                        ),
-                        hint: "lanes must own their state; merge results in lane index \
-                               order at the reduction barrier instead of sharing a \
-                               locked collection"
-                            .to_string(),
-                    });
-                }
             }
         }
     }
@@ -684,25 +583,9 @@ mod tests {
     }
 
     #[test]
-    fn d010_unclosed_span_and_closed_via_callee() {
-        let dirty = lint(&[(
-            "crates/faas/src/a.rs",
-            "fn handle(&mut self) { self.spans.open(1, 2); self.route(); }\n\
-             fn route(&mut self) {}",
-        )]);
-        assert_eq!(rules(&dirty), ["D010"]);
-        let clean = lint(&[(
-            "crates/faas/src/a.rs",
-            "fn handle(&mut self) { self.spans.open(1, 2); self.finish(); }\n\
-             fn finish(&mut self) { self.spans.close(1, 2, p); }",
-        )]);
-        assert!(clean.is_empty(), "{clean:?}");
-    }
-
-    #[test]
     fn d011_static_mut_and_lazy_static() {
         let f = lint(&[(
-            "crates/faas/src/sharded/lane.rs",
+            "crates/faas/src/state.rs",
             "static mut TICKS: u64 = 0;\n\
              lazy_static! { static ref M: u8 = 1; }\n\
              static NAMES: [&str; 2] = [\"a\", \"b\"];",
@@ -711,34 +594,12 @@ mod tests {
     }
 
     #[test]
-    fn d011_shared_locked_field_reachable_from_lane() {
-        let f = lint(&[
-            (
-                "crates/faas/src/sharded/lane.rs",
-                "fn run(s: &LaneShared) { drive(s); }",
-            ),
-            (
-                "crates/sim-core/src/state.rs",
-                "pub struct LaneShared { pub outcomes: Arc<Mutex<Vec<u64>>>, pub n: u64 }",
-            ),
-        ]);
-        assert_eq!(rules(&f), ["D011"]);
-        assert!(f[0].path.contains("sim-core"));
-        assert!(f[0].message.contains("LaneShared.outcomes"));
-    }
-
-    #[test]
     fn d011_owned_state_is_clean() {
-        let f = lint(&[
-            (
-                "crates/faas/src/sharded/lane.rs",
-                "fn run(s: &mut LaneState) {}",
-            ),
-            (
-                "crates/sim-core/src/state.rs",
-                "pub struct LaneState { pub outcomes: Vec<u64> }",
-            ),
-        ]);
+        let f = lint(&[(
+            "crates/sim-core/src/state.rs",
+            "static CELLS: usize = 8;\n\
+             pub struct CellState { pub outcomes: Vec<u64> }",
+        )]);
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -25,13 +25,10 @@ fn fixture_dir(kind: &str) -> PathBuf {
 /// The virtual workspace path a fixture is linted under. Most fixtures
 /// pose as sim-crate code (the strictest scope); the D006 pair poses as
 /// bench code to show the snapshot rule applies even outside sim crates
-/// (and so its map mentions exercise D006, not D001); the D011 pair
-/// poses as sharded lane code, the scope where cross-lane state bites.
+/// (and so its map mentions exercise D006, not D001).
 fn virtual_path(file_name: &str) -> String {
     if file_name.starts_with("d006") {
         format!("crates/bench/src/{file_name}")
-    } else if file_name.starts_with("d011") {
-        format!("crates/faas/src/sharded/{file_name}")
     } else {
         format!("crates/faas/src/{file_name}")
     }
@@ -76,9 +73,7 @@ fn rules_in(findings: &[Finding], file_stem: &str) -> Vec<&'static str> {
 fn every_rule_has_a_failing_and_a_passing_fixture() {
     let dirty = lint_corpus("dirty", false);
     let clean = lint_corpus("clean", false);
-    for rule in [
-        "D001", "D002", "D003", "D004", "D005", "D006", "D007", "D008", "D009", "D010", "D011",
-    ] {
+    for rule in sky_lint::RULE_IDS {
         let stem = rule.to_lowercase();
         assert!(
             rules_in(&dirty, &stem).contains(&rule),

@@ -9,13 +9,14 @@ use sky_core::cloud::{Arch, Catalog, CpuType, Provider};
 use sky_core::faas::{FaasEngine, FleetConfig};
 use sky_core::sim::SimDuration;
 use sky_core::workloads::WorkloadKind;
-use sky_core::WorkloadProfiler;
+use sky_core::{Characterization, WorkloadProfiler};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut engine = FaasEngine::new(Catalog::paper_world(7), FleetConfig::new(7));
     let account = engine.create_account(Provider::Aws);
     let az = "us-west-1b".parse()?;
     let deployment = engine.deploy(account, &az, 2048, Arch::X86_64)?;
+    engine.set_observation_hook(true);
 
     let mut profiler = WorkloadProfiler::new();
     for kind in [
@@ -47,12 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The passive characterization came along for free (paper §4.6).
-    if let Some(passive) = profiler.passive_characterization(&az) {
-        println!(
-            "\npassive characterization from the same traffic: {} unique FIs, mix {:?}",
-            passive.unique_fis(),
-            passive.to_mix()
-        );
-    }
+    let mut passive = Characterization::new();
+    passive.observe_all(&engine.take_observations(&az));
+    println!(
+        "\npassive characterization from the same traffic: {} unique FIs, mix {:?}",
+        passive.unique_fis(),
+        passive.to_mix()
+    );
     Ok(())
 }

@@ -104,25 +104,6 @@ fn kernels_are_platform_independent_fixtures() {
 }
 
 #[test]
-fn fault_sweep_is_jobs_invariant() {
-    // The determinism matrix: the fig_faults experiment — every cell
-    // running under an active FaultPlan — must render byte-identically
-    // whether the sweep runner uses 1, 2 or 8 worker threads.
-    use sky_bench::faults::{fig_faults_rows, render_fig_faults};
-    use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
-
-    let reference = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial()));
-    for jobs in [1, 2, 8] {
-        let rendered = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::new(jobs)));
-        assert_eq!(
-            rendered, reference,
-            "--jobs {jobs} changed the fig_faults bytes"
-        );
-    }
-}
-
-#[test]
 fn fault_metric_snapshots_are_jobs_invariant() {
     // Metric snapshots of the fig_faults experiment (every cell running
     // under an active FaultPlan) must export byte-identical Prometheus
@@ -154,11 +135,11 @@ fn fault_metric_snapshots_are_jobs_invariant() {
 fn daily_routing_metric_snapshot_is_reproducible() {
     // The multi-day routing experiment (no FaultPlan) must produce the
     // same metric bytes on every run from the same seed.
-    use sky_bench::report::daily_routing_metrics;
+    use sky_bench::report::daily_routing;
     use sky_bench::Scale;
 
-    let a = daily_routing_metrics(Scale::Quick);
-    let b = daily_routing_metrics(Scale::Quick);
+    let (_, a) = daily_routing(Scale::Quick);
+    let (_, b) = daily_routing(Scale::Quick);
     assert!(!a.entries.is_empty(), "snapshot must not be empty");
     assert_eq!(a.to_prometheus_text(), b.to_prometheus_text());
     assert_eq!(a.to_json(), b.to_json());
@@ -205,52 +186,10 @@ fn unreached_fault_plan_is_metrics_neutral() {
 }
 
 #[test]
-fn exec_mode_sweep_is_jobs_invariant() {
-    // The lifecycle matrix — six exec modes, each with its own pool /
-    // snapshot state machine — must render byte-identically whether the
-    // sweep runner uses 1, 2 or 8 worker threads.
-    use sky_bench::exec_modes::{fig_exec_modes_rows, render_fig_exec_modes};
-    use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
-
-    let reference = render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::serial()));
-    for jobs in [1, 2, 8] {
-        let rendered = render_fig_exec_modes(&fig_exec_modes_rows(Scale::Quick, Jobs::new(jobs)));
-        assert_eq!(
-            rendered, reference,
-            "--jobs {jobs} changed the fig_exec_modes bytes"
-        );
-    }
-}
-
-#[test]
-fn mode_routing_sweep_is_jobs_invariant() {
-    // The steering x mode grid runs the CPU-gated client against
-    // snapshot-restoring deployments; retries, restores and declines
-    // must all stay on per-cell RNG streams.
-    use sky_bench::exec_modes::{ablation_mode_routing_rows, render_ablation_mode_routing};
-    use sky_bench::sweep::Jobs;
-    use sky_bench::Scale;
-
-    let reference =
-        render_ablation_mode_routing(&ablation_mode_routing_rows(Scale::Quick, Jobs::serial()));
-    for jobs in [1, 2, 8] {
-        let rendered = render_ablation_mode_routing(&ablation_mode_routing_rows(
-            Scale::Quick,
-            Jobs::new(jobs),
-        ));
-        assert_eq!(
-            rendered, reference,
-            "--jobs {jobs} changed the ablation_mode_routing bytes"
-        );
-    }
-}
-
-#[test]
 fn exec_mode_metric_snapshots_are_jobs_invariant() {
     // Merged per-arm metric snapshots of the lifecycle matrix must
     // export byte-identical Prometheus text at any worker count.
-    use sky_bench::exec_modes::fig_exec_modes_with_metrics;
+    use sky_bench::experiments::fig_exec_modes::fig_exec_modes_with_metrics;
     use sky_bench::sweep::Jobs;
     use sky_bench::Scale;
 

@@ -76,11 +76,13 @@ fn every_experiment_has_a_published_results_artifact() {
 #[test]
 fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
     // The multiplexer's load-bearing promise: text depends on
-    // (scale, seed) only. Exercise the three cheapest multi-cell
-    // experiments at 1/2/8 workers; the golden gate plus the sweep
-    // determinism tests cover the rest of the set.
+    // (scale, seed) only. Exercise the cheap multi-cell experiments at
+    // 1/2/8 workers; the golden gate plus the sweep determinism tests
+    // cover the rest of the set.
     for name in [
         "fig_faults",
+        "fig_exec_modes",
+        "ablation_mode_routing",
         "ablation_staleness",
         "fig5_progressive_sampling",
         "fig_drift_regret",

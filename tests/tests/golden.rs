@@ -18,15 +18,10 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use sky_bench::faults::{fig_faults_rows, render_fig_faults};
 use sky_bench::sweep::Jobs;
-use sky_bench::{
-    cumulative_savings, profile_workload, run_daily_routing, DailyRoutingConfig, Scale, World,
-    WORLD_SEED,
-};
+use sky_bench::{cumulative_savings, Scale, World, WORLD_SEED};
 use sky_core::sim::series::Table;
-use sky_core::{CampaignConfig, PollConfig, RoutingPolicy, SamplingCampaign};
-use sky_workloads::WorkloadKind;
+use sky_core::{CampaignConfig, PollConfig, SamplingCampaign};
 
 fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -114,33 +109,8 @@ fn golden_registry_experiments_quick() {
 }
 
 #[test]
-fn golden_fig_faults() {
-    let rendered = render_fig_faults(&fig_faults_rows(Scale::Quick, Jobs::serial()));
-    check_golden("fig_faults_quick", &rendered);
-}
-
-#[test]
 fn golden_daily_routing() {
-    let mut world = World::new(WORLD_SEED);
-    let primary = World::az("us-west-1b");
-    let probe = world
-        .engine
-        .deploy(world.aws, &primary, 2048, sky_cloud::Arch::X86_64)
-        .unwrap();
-    let table = profile_workload(&mut world.engine, probe, WorkloadKind::GraphBfs, 150);
-    let candidates = vec![primary.clone(), World::az("us-west-1a")];
-    let config = DailyRoutingConfig {
-        kind: WorkloadKind::GraphBfs,
-        days: 2,
-        burst: 60,
-        baseline_az: primary,
-        policy: RoutingPolicy::Regional {
-            candidates: candidates.clone(),
-        },
-        sampled_azs: candidates,
-        polls_per_day: 2,
-    };
-    let outcomes = run_daily_routing(&mut world, &table, &config);
+    let (outcomes, _) = sky_bench::report::daily_routing(Scale::Quick);
     let mut out = Table::new(
         "golden: two-day regional routing (quick scale)",
         &[
