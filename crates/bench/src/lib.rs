@@ -9,7 +9,7 @@
 //! renders the same rows/series the paper reports; `EXPERIMENTS.md`
 //! records paper-vs-measured for each.
 //!
-//! Experiments honour the `SKY_SCALE` environment variable (`full`, the
+//! Experiments run at a [`Scale`] chosen with `--scale` (`full`, the
 //! default, or `quick` for a fast smoke run at reduced sample counts);
 //! unknown values are rejected with an error rather than silently mapped.
 
@@ -34,7 +34,7 @@ use sky_core::{
 pub enum Scale {
     /// Paper-scale sample counts (the default).
     Full,
-    /// Reduced counts for smoke runs (`SKY_SCALE=quick`).
+    /// Reduced counts for smoke runs (`--scale quick`).
     Quick,
 }
 
@@ -49,17 +49,6 @@ impl Scale {
             other => Err(format!(
                 "unknown scale {other:?} (expected \"quick\" or \"full\")"
             )),
-        }
-    }
-
-    /// Read the scale from the `SKY_SCALE` environment variable.
-    /// Unset means [`Scale::Full`]; a set-but-invalid value is an error,
-    /// never a silent fallback.
-    pub fn from_env() -> Result<Scale, String> {
-        match std::env::var("SKY_SCALE") {
-            Ok(value) => Scale::parse(&value).map_err(|e| format!("SKY_SCALE: {e}")),
-            Err(std::env::VarError::NotPresent) => Ok(Scale::Full),
-            Err(e) => Err(format!("SKY_SCALE: {e}")),
         }
     }
 

@@ -11,8 +11,8 @@
 //!
 //! Determinism contract: an experiment's rendered text is a pure
 //! function of `(scale, seed)` — byte-identical for any `--jobs` value —
-//! unless [`Experiment::deterministic`] says otherwise (host wall-clock
-//! benchmarks). The registry-driven golden gate in
+//! unless [`Experiment::deterministic`] says otherwise (`table1_workloads`,
+//! which reports host wall time). The registry-driven golden gate in
 //! `tests/tests/golden.rs` enforces this at quick scale for every
 //! deterministic experiment.
 
@@ -34,7 +34,6 @@ pub struct ExperimentCtx {
     /// reproducible, only the default is golden-pinned).
     pub seed: u64,
     out: String,
-    artifacts: Vec<Artifact>,
 }
 
 impl ExperimentCtx {
@@ -45,7 +44,6 @@ impl ExperimentCtx {
             jobs,
             seed,
             out: String::new(),
-            artifacts: Vec::new(),
         }
     }
 
@@ -54,20 +52,11 @@ impl ExperimentCtx {
         crate::World::new(self.seed)
     }
 
-    /// Attach a side artifact (e.g. `BENCH_engine.json`) to be written
-    /// into the runner's output directory.
-    pub fn artifact(&mut self, file_name: impl Into<String>, contents: impl Into<String>) {
-        self.artifacts.push(Artifact {
-            file_name: file_name.into(),
-            contents: contents.into(),
-        });
-    }
-
     /// Drain the buffered report into the experiment's output.
     pub fn finish(&mut self) -> ExperimentOutput {
         ExperimentOutput {
             text: std::mem::take(&mut self.out),
-            artifacts: std::mem::take(&mut self.artifacts),
+            artifacts: Vec::new(),
         }
     }
 
@@ -100,10 +89,10 @@ macro_rules! outln {
     }};
 }
 
-/// A side file produced by an experiment, written by the runner.
+/// A side file an experiment could hand back beside its report.
 #[derive(Debug)]
 pub struct Artifact {
-    /// File name relative to the output directory (e.g. `BENCH_engine.json`).
+    /// File name relative to the output directory.
     pub file_name: String,
     /// Full file contents.
     pub contents: String,
@@ -115,7 +104,8 @@ pub struct ExperimentOutput {
     /// The rendered report — exactly what the former standalone binary
     /// printed to stdout.
     pub text: String,
-    /// Side artifacts (usually empty).
+    /// Side artifacts. Always empty: no experiment produces one. The
+    /// field stays because the benchmark under `perfbench/` checks it.
     pub artifacts: Vec<Artifact>,
 }
 
@@ -136,8 +126,8 @@ pub trait Experiment: Sync {
     }
 
     /// Whether the rendered text is a pure function of `(scale, seed)`.
-    /// Host wall-clock benchmarks return `false` and are excluded from
-    /// the byte-identity golden gate.
+    /// Experiments that report host wall time (`table1_workloads`)
+    /// return `false` and are excluded from the byte-identity golden gate.
     fn deterministic(&self) -> bool {
         true
     }
@@ -180,7 +170,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
         &fig_drift_regret::FigDriftRegret,
         &ablation_drift_lag::AblationDriftLag,
         &calibration_probe::CalibrationProbe,
-        &bench_engine::BenchEngine,
     ];
     ALL
 }

@@ -91,6 +91,11 @@ impl Args {
         self.flags.get(name).map(|s| s.as_str())
     }
 
+    /// Names of every flag given, in name order.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(|s| s.as_str())
+    }
+
     /// Integer flag with default.
     pub fn flag_u64(&self, name: &str, default: u64) -> Result<u64, ArgsError> {
         match self.flags.get(name) {

@@ -54,42 +54,52 @@ fn main() {
 }
 
 fn run(raw: Vec<String>) -> Result<(), String> {
-    let args = Args::parse_with_switches(
-        raw,
-        &["all", "json", "verbose", "fix-pragmas", "write", "stream"],
-    )
-    .map_err(|e| e.to_string())?;
+    let args = Args::parse_with_switches(raw, &["all", "json", "fix-pragmas", "write", "stream"])
+        .map_err(|e| e.to_string())?;
     let seed = args.flag_u64("seed", 42).map_err(|e| e.to_string())?;
     match args.positional(0) {
         None | Some("help") | Some("--help") => {
+            expect_flags(&args, &[])?;
             print_help();
             Ok(())
         }
         Some("world") => {
             expect_arity(&args, 1)?;
+            expect_flags(&args, &[])?;
             cmd_world(seed)
         }
-        Some("workloads") => cmd_workloads(),
+        Some("workloads") => {
+            expect_flags(&args, &[])?;
+            cmd_workloads()
+        }
         Some("exp") => cmd_exp(&args, seed),
         Some("characterize") => {
             expect_arity(&args, 2)?;
+            expect_flags(&args, &["polls", "jobs", "json", "stream"])?;
             cmd_characterize(&args, seed)
         }
         Some("saturate") => {
             expect_arity(&args, 2)?;
+            expect_flags(&args, &[])?;
             cmd_saturate(&args, seed)
         }
         Some("profile") => {
             expect_arity(&args, 3)?;
+            expect_flags(&args, &["runs"])?;
             cmd_profile(&args, seed)
         }
-        Some("route") => cmd_route(&args, seed),
+        Some("route") => {
+            expect_flags(&args, &["baseline", "candidates", "policy", "burst"])?;
+            cmd_route(&args, seed)
+        }
         Some("report") => {
             expect_arity(&args, 1)?;
+            expect_flags(&args, &["scale", "jobs", "format"])?;
             cmd_report(&args)
         }
         Some("lint") => {
             expect_arity(&args, 1)?;
+            expect_flags(&args, &["root", "format", "jobs", "fix-pragmas", "write"])?;
             cmd_lint(&args)
         }
         Some(other) => Err(format!("unknown command {other:?}")),
@@ -105,6 +115,19 @@ fn expect_arity(args: &Args, n: usize) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Reject flags the command does not read (typos like `world --sed 7`),
+/// so a misspelled flag never falls back to a default silently. `--seed`
+/// is accepted by every command.
+fn expect_flags(args: &Args, allowed: &[&str]) -> Result<(), String> {
+    match args
+        .flag_names()
+        .find(|name| *name != "seed" && !allowed.contains(name))
+    {
+        Some(name) => Err(format!("unknown flag --{name}")),
+        None => Ok(()),
+    }
 }
 
 fn print_help() {
@@ -145,8 +168,7 @@ fn print_help() {
          \n\
          global flags: --seed N (default 42), --json on characterize,\n\
          \x20             --jobs N (worker threads for exp run and multi-zone\n\
-         \x20             characterize; defaults to SKY_JOBS, then the machine's\n\
-         \x20             available parallelism)"
+         \x20             characterize; defaults to one per available core)"
     );
 }
 
@@ -220,12 +242,7 @@ fn cmd_characterize(args: &Args, seed: u64) -> Result<(), String> {
     let polls = args.flag_u64("polls", 6).map_err(|e| e.to_string())? as usize;
     let json = args.flag("json").is_some();
     let stream = args.flag("stream").is_some();
-    // `Jobs::from_env` also honours `--jobs N` from argv, but routing it
-    // through the parser gives proper errors for bad values.
-    let jobs = match args.flag("jobs") {
-        Some(_) => Jobs::new(args.flag_u64("jobs", 1).map_err(|e| e.to_string())? as usize),
-        None => Jobs::from_env(),
-    };
+    let jobs = resolve_jobs(args)?;
 
     // Each zone is an independent sweep cell with its own seeded engine,
     // so multi-zone characterizations fan out over `--jobs` threads and
@@ -469,22 +486,19 @@ fn cmd_profile(args: &Args, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Resolve `--scale` (or `SKY_SCALE`) through the one strict parser:
+/// Resolve `--scale` (default `full`) through the one strict parser:
 /// near-misses like `Quick` or `ful` are errors, not silent fallbacks.
 fn resolve_scale(args: &Args) -> Result<Scale, String> {
-    match args.flag("scale") {
-        Some(value) => Scale::parse(value),
-        None => Scale::from_env(),
-    }
+    args.flag("scale").map_or(Ok(Scale::Full), Scale::parse)
 }
 
-/// Resolve `--jobs`, falling back to `SKY_JOBS` / machine parallelism.
+/// Resolve `--jobs` (default: one worker per available core).
 fn resolve_jobs(args: &Args) -> Result<Jobs, String> {
     match args.flag("jobs") {
         Some(_) => Ok(Jobs::new(
             args.flag_u64("jobs", 1).map_err(|e| e.to_string())? as usize,
         )),
-        None => Ok(Jobs::from_env()),
+        None => Ok(Jobs::available()),
     }
 }
 
@@ -495,13 +509,18 @@ fn cmd_exp(args: &Args, seed: u64) -> Result<(), String> {
     match args.positional(1) {
         None | Some("list") => {
             expect_arity(args, 2)?;
+            expect_flags(args, &[])?;
             cmd_exp_list()
         }
         Some("describe") => {
             expect_arity(args, 3)?;
+            expect_flags(args, &[])?;
             cmd_exp_describe(args)
         }
-        Some("run") => cmd_exp_run(args, seed),
+        Some("run") => {
+            expect_flags(args, &["all", "scale", "jobs", "out"])?;
+            cmd_exp_run(args, seed)
+        }
         Some(other) => Err(format!(
             "unknown exp subcommand {other:?} (list|describe|run)"
         )),
@@ -602,26 +621,15 @@ fn cmd_exp_run(args: &Args, seed: u64) -> Result<(), String> {
     let mut failures = Vec::new();
     for (name, outcome) in outcomes {
         match outcome {
-            Ok(output) => {
-                match &out_dir {
-                    Some(dir) => {
-                        let path = dir.join(format!("{name}.txt"));
-                        std::fs::write(&path, output.text.as_bytes())
-                            .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                        eprintln!("  ok {name} -> {}", path.display());
-                    }
-                    None => print!("{}", output.text),
-                }
-                for artifact in &output.artifacts {
-                    let path = match &out_dir {
-                        Some(dir) => dir.join(&artifact.file_name),
-                        None => std::path::PathBuf::from(&artifact.file_name),
-                    };
-                    std::fs::write(&path, artifact.contents.as_bytes())
+            Ok(output) => match &out_dir {
+                Some(dir) => {
+                    let path = dir.join(format!("{name}.txt"));
+                    std::fs::write(&path, output.text.as_bytes())
                         .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                    eprintln!("  ok {name} artifact -> {}", path.display());
+                    eprintln!("  ok {name} -> {}", path.display());
                 }
-            }
+                None => print!("{}", output.text),
+            },
             Err(message) => {
                 eprintln!("  FAILED {name}: {message}");
                 failures.push(name);

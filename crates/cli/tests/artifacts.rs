@@ -1,23 +1,30 @@
-//! The `skyward exp run` surface: side artifacts go where they are told
-//! (into `--out DIR`, never into the checkout the binary was built
-//! from), and without `--out` the report goes to stdout byte-for-byte.
+//! The `skyward exp run` surface: with `--out DIR` the report goes into
+//! `DIR` and nowhere else, and without `--out` it goes to stdout
+//! byte-for-byte.
 
 use std::path::PathBuf;
 use std::process::Command;
 
 #[test]
-fn exp_run_writes_artifacts_into_out_dir() {
-    let checked_in =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_engine.json");
-    let before = std::fs::read(&checked_in).expect("results/BENCH_engine.json is checked in");
+fn exp_run_writes_only_into_out_dir() {
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden/exp/fig3_sleep_sweep_quick.txt");
+    let expected = std::fs::read(&golden).expect("fig3_sleep_sweep golden is checked in");
 
-    let scratch = std::env::temp_dir().join(format!("skyward-artifacts-{}", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!("skyward-out-dir-{}", std::process::id()));
     let cwd = scratch.join("cwd");
     let out = scratch.join("out");
     std::fs::create_dir_all(&cwd).expect("create working directory");
 
     let run = Command::new(env!("CARGO_BIN_EXE_skyward"))
-        .args(["exp", "run", "bench_engine", "--scale", "quick", "--out"])
+        .args([
+            "exp",
+            "run",
+            "fig3_sleep_sweep",
+            "--scale",
+            "quick",
+            "--out",
+        ])
         .arg(&out)
         .current_dir(&cwd)
         .output()
@@ -28,22 +35,24 @@ fn exp_run_writes_artifacts_into_out_dir() {
         String::from_utf8_lossy(&run.stderr)
     );
 
+    let written = std::fs::read(out.join("fig3_sleep_sweep.txt")).expect("report in --out");
     assert!(
-        out.join("BENCH_engine.json").is_file(),
-        "artifact missing from --out"
+        written == expected,
+        "report differs from {}",
+        golden.display()
     );
     assert!(
-        out.join("bench_engine.txt").is_file(),
-        "report missing from --out"
+        run.stdout.is_empty(),
+        "stdout not empty with --out: {}",
+        String::from_utf8_lossy(&run.stdout)
     );
+    let leaked: Vec<_> = std::fs::read_dir(&cwd)
+        .expect("working directory readable")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect();
     assert!(
-        !cwd.join("BENCH_engine.json").exists(),
-        "artifact leaked into the working directory"
-    );
-    let after = std::fs::read(&checked_in).expect("results/BENCH_engine.json still readable");
-    assert!(
-        before == after,
-        "the checked-in BENCH_engine.json was overwritten"
+        leaked.is_empty(),
+        "files leaked into the working directory: {leaked:?}"
     );
 
     std::fs::remove_dir_all(&scratch).expect("remove scratch directory");

@@ -260,11 +260,6 @@ impl StreamingCharacterizer {
         self.zones.get(az).map(|z| z.observations).unwrap_or(0)
     }
 
-    /// Observations since the zone's last probe (or creation).
-    pub fn observations_since_reset(&self, az: &AzId) -> u32 {
-        self.zones.get(az).map(|z| z.since_reset).unwrap_or(0)
-    }
-
     /// Current CUSUM statistic (x10 000) — visible for experiments that
     /// plot detector trajectories.
     pub fn cusum_x10k(&self, az: &AzId) -> i64 {

@@ -533,11 +533,6 @@ impl FaasEngine {
         &self.metrics
     }
 
-    /// Mutable registry access (for harness-level annotations).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Export the engine's metrics as a normalized, mergeable snapshot,
     /// including a synthetic `faas/events_processed` counter.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
@@ -678,7 +673,7 @@ impl FaasEngine {
             .az_index
             .get(az)
             .unwrap_or_else(|| panic!("no platform instantiated for {az}"));
-        self.platforms[idx as usize].inject_outage(until);
+        self.platforms[idx as usize].apply_fault(&FaultKind::Outage, until);
     }
 
     /// Arm a fault schedule: each plan event is enqueued once at its

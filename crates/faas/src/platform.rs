@@ -415,11 +415,6 @@ impl AzPlatform {
         std::mem::take(&mut self.observations)
     }
 
-    /// Buffered completion reports awaiting drain.
-    pub fn pending_observations(&self) -> usize {
-        self.observations.len()
-    }
-
     /// Number of hosts currently provisioned (x86 + arm).
     pub fn host_count(&self) -> usize {
         self.hosts.len()
@@ -496,12 +491,7 @@ impl AzPlatform {
         // FIs above keep serving, matching how zone incidents present).
         if let Some(until) = self.outage_until {
             if now < until {
-                if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                    self.mark_busy(slot);
-                    return Ok((id, slot, StartClass::Warm));
-                }
-                self.capacity_failures_pending += 1;
-                return Err(CapacityError::Exhausted);
+                return self.warm_or_exhausted(deployment);
             }
             self.outage_until = None;
         }
@@ -512,12 +502,7 @@ impl AzPlatform {
         if let Some((until, severity)) = self.partial_outage {
             if now < until {
                 if self.fault_rng.chance(severity) {
-                    if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                        self.mark_busy(slot);
-                        return Ok((id, slot, StartClass::Warm));
-                    }
-                    self.capacity_failures_pending += 1;
-                    return Err(CapacityError::Exhausted);
+                    return self.warm_or_exhausted(deployment);
                 }
             } else {
                 self.partial_outage = None;
@@ -532,24 +517,10 @@ impl AzPlatform {
         };
         let usable = (total as f64 * self.diurnal.usable_fraction(hour)) as u64;
         if used + memory_mb as u64 > usable {
-            // Out of capacity: fall back to a warm FI if one exists.
-            if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                self.mark_busy(slot);
-                return Ok((id, slot, StartClass::Warm));
-            }
-            self.capacity_failures_pending += 1;
-            return Err(CapacityError::Exhausted);
+            return self.warm_or_exhausted(deployment);
         }
-        let host_index = match self.place(memory_mb, arch) {
-            Some(i) => i,
-            None => {
-                if let Some((id, slot)) = self.pop_valid_warm(deployment) {
-                    self.mark_busy(slot);
-                    return Ok((id, slot, StartClass::Warm));
-                }
-                self.capacity_failures_pending += 1;
-                return Err(CapacityError::Exhausted);
-            }
+        let Some(host_index) = self.place(memory_mb, arch) else {
+            return self.warm_or_exhausted(deployment);
         };
         // A fresh environment: restore or branch when the mode has a
         // live snapshot, else a full cold provision. No RNG involved.
@@ -557,6 +528,24 @@ impl AzPlatform {
         let (id, slot) =
             self.create_instance(deployment, memory_mb, arch, host_index, true, parent, now);
         Ok((id, slot, class))
+    }
+
+    /// The fallback when no new FI can be placed: reuse a valid warm FI
+    /// for the deployment if one exists, else record a capacity failure.
+    fn warm_or_exhausted(
+        &mut self,
+        deployment: DeploymentId,
+    ) -> Result<(InstanceId, SlotKey, StartClass), CapacityError> {
+        match self.pop_valid_warm(deployment) {
+            Some((id, slot)) => {
+                self.mark_busy(slot);
+                Ok((id, slot, StartClass::Warm))
+            }
+            None => {
+                self.capacity_failures_pending += 1;
+                Err(CapacityError::Exhausted)
+            }
+        }
     }
 
     /// The start class a fresh placement resolves to: `Restored` or
@@ -1079,20 +1068,6 @@ impl AzPlatform {
         }
         self.extra_hosts = 0; // reactive capacity is reclaimed daily
         recycled
-    }
-
-    /// Fault injection: reject every placement in this zone until `until`
-    /// (an injected zone outage — the availability scenario sky
-    /// computing's multi-zone aggregation defends against). Warm
-    /// instances keep serving; only *new* FI creation fails, matching
-    /// how real zone incidents typically present.
-    pub fn inject_outage(&mut self, until: SimTime) {
-        self.outage_until = Some(until);
-    }
-
-    /// Whether an injected outage is active at `now`.
-    pub fn outage_active(&self, now: SimTime) -> bool {
-        self.outage_until.map(|u| now < u).unwrap_or(false)
     }
 
     /// Arm one fault against this platform until `until`. Cold-start

@@ -46,11 +46,6 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// The y values alone.
-    pub fn ys(&self) -> impl Iterator<Item = f64> + '_ {
-        self.points.iter().map(|&(_, y)| y)
-    }
-
     /// Smallest x at which `y <= threshold`, scanning in x order.
     /// Used for "samples needed to reach 95 % accuracy"-type questions.
     pub fn first_x_below(&self, threshold: f64) -> Option<f64> {

@@ -41,8 +41,8 @@ fn registry_names_are_unique_and_well_formed() {
     }
     assert_eq!(
         seen.len(),
-        28,
-        "expected the 24 ported binaries plus fig_exec_modes, \
+        27,
+        "expected the 23 remaining ported binaries plus fig_exec_modes, \
          ablation_mode_routing, fig_drift_regret and ablation_drift_lag"
     );
 }
@@ -77,8 +77,7 @@ fn every_experiment_has_a_published_results_artifact() {
 fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
     // The multiplexer's load-bearing promise: text depends on
     // (scale, seed) only. Exercise the cheap multi-cell experiments at
-    // 1/2/8 workers; the golden gate plus the sweep determinism tests
-    // cover the rest of the set.
+    // 1/2/8 workers; the golden gate covers the rest of the set.
     for name in [
         "fig_faults",
         "fig_exec_modes",
@@ -103,6 +102,28 @@ fn deterministic_experiments_are_jobs_invariant_at_quick_scale() {
                 "{name} output differs between 1 and {jobs} workers"
             );
         }
+    }
+}
+
+#[test]
+fn run_many_parallel_fanout_matches_serial_loop() {
+    // `run_many` switches strategy on jobs>1 (fan out over experiments,
+    // one worker each) vs jobs==1 (serial loop, full jobs) — the outputs
+    // must be byte-identical either way.
+    let exps: Vec<&'static dyn Experiment> = ["fig_faults", "ablation_staleness", "cost_summary"]
+        .iter()
+        .map(|n| registry::find(n).expect("registered"))
+        .collect();
+    let serial = registry::run_many(&exps, Scale::Quick, Jobs::serial(), WORLD_SEED);
+    let parallel = registry::run_many(&exps, Scale::Quick, Jobs::new(4), WORLD_SEED);
+    assert_eq!(serial.len(), parallel.len());
+    for ((name_s, out_s), (name_p, out_p)) in serial.iter().zip(parallel.iter()) {
+        assert_eq!(name_s, name_p, "run_many reordered experiments");
+        assert_eq!(
+            out_s.as_ref().expect("serial run succeeds").text,
+            out_p.as_ref().expect("parallel run succeeds").text,
+            "{name_s} output differs between serial and fanned-out run_many"
+        );
     }
 }
 

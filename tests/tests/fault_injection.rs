@@ -319,7 +319,7 @@ fn full_scale_resilient_domination() {
     use sky_bench::experiments::fig_faults::fig_faults_with_metrics;
     use sky_bench::sweep::Jobs;
     use sky_bench::Scale;
-    let (rows, _) = fig_faults_with_metrics(Scale::Full, Jobs::from_env());
+    let (rows, _) = fig_faults_with_metrics(Scale::Full, Jobs::available());
     for row in rows {
         assert!(
             row.resilient.goodput > row.baseline.goodput,
